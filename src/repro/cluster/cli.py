@@ -8,16 +8,16 @@ and one wire protocol.
 
 from __future__ import annotations
 
-import signal
 import sys
-import threading
 
 from repro.cluster.supervisor import ClusterSupervisor
 from repro.serve.http import (
     _flag_value,
     _float_flag,
     _int_flag,
+    await_shutdown,
     parse_handler_concurrency,
+    shutdown_on_signal,
 )
 
 __all__ = ["main"]
@@ -126,27 +126,14 @@ def main(argv: list[str] | None = None) -> int:
         verbose=verbose,
     )
 
-    shutdown_requested = threading.Event()
-
-    def _request_shutdown(signum: int, _frame: object) -> None:
-        if not shutdown_requested.is_set():
-            print(
-                f"received {signal.Signals(signum).name}; draining cluster "
-                f"(grace {drain_timeout:g}s)",
-                flush=True,
-            )
-            shutdown_requested.set()
-
-    signal.signal(signal.SIGTERM, _request_shutdown)
-    signal.signal(signal.SIGINT, _request_shutdown)
-
+    shutdown_requested = shutdown_on_signal("draining cluster", drain_timeout)
     supervisor.start()
     print(
         f"repro-serve cluster listening on {supervisor.url} "
         f"({cluster_size} shards, spill {spill})",
         flush=True,
     )
-    shutdown_requested.wait()
+    await_shutdown(shutdown_requested)
     supervisor.stop()
     print("repro-serve cluster exited cleanly", flush=True)
     return 0

@@ -316,8 +316,17 @@ def build_machine(name: str) -> NodeHourModel:
 
     Built-in names resolve through their (overlay-aware) builders; a
     scenario-defined machine builds from its ``base``'s raw mix (or from
-    scratch) with its edits applied.
+    scratch) with its edits applied.  Memoized per active scenario
+    cache token, like :func:`_accelerable`: the model is frozen, so
+    callers share one instance; a :class:`ScenarioError` is not cached.
     """
+    from repro.scenario.context import active_cache_token
+
+    return _build_machine_cached(active_cache_token(), name)
+
+
+@lru_cache(maxsize=256)
+def _build_machine_cached(token: str | None, name: str) -> NodeHourModel:
     if name in MACHINE_BUILDERS:
         return MACHINE_BUILDERS[name]()
     ov = _overlay_for(name)

@@ -164,7 +164,9 @@ class ServeClient:
         """Submit many queries concurrently onto the engine's loop.
 
         Concurrent submission is what lets identical requests coalesce
-        and batchable ones gather — a serial ``query`` loop would finish
+        and batchable ones gather: every query here is admitted in the
+        same loop tick, before any worker takes a group, so a sweep
+        becomes one micro-batch — a serial ``query`` loop would finish
         each answer before the next question is even asked.  An optional
         ``scenario`` applies to every query in the batch.
         """

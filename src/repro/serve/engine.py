@@ -11,8 +11,9 @@ stays responsive), and four serving mechanisms:
 * **coalescing** — identical *in-flight* questions share one
   computation: later arrivals await the first one's future;
 * **micro-batching** — queries of a batchable kind that differ only
-  along the kind's batch axis gather for a short window and collapse
-  into one vectorised evaluation;
+  along the kind's batch axis collapse into one vectorised evaluation;
+  a group flushes when a worker dequeues it, with whoever joined while
+  it was queued, so a lone query never waits for company;
 * **backpressure** — the admission queue is bounded; when it is full
   new work is *shed* with :class:`~repro.errors.ServiceOverloaded`
   instead of queued, and every request carries a deadline
@@ -320,8 +321,6 @@ class QueryEngine:
         :class:`ServiceOverloaded`.
     cache_size:
         Result-cache entry bound (LRU eviction).
-    batch_window_s:
-        How long a claimed micro-batch keeps gathering members.
     max_batch:
         Largest micro-batch; further members start a new group.
     default_timeout_s:
@@ -359,7 +358,6 @@ class QueryEngine:
         workers: int = 4,
         max_queue: int = 128,
         cache_size: int = 256,
-        batch_window_s: float = 0.005,
         max_batch: int = 64,
         default_timeout_s: float = 30.0,
         metrics: Metrics | None = None,
@@ -403,7 +401,6 @@ class QueryEngine:
         self.workers = workers
         self.max_queue = max_queue
         self.cache_size = cache_size
-        self.batch_window_s = batch_window_s
         self.max_batch = max_batch
         self.default_timeout_s = default_timeout_s
         self.metrics = metrics or Metrics()
@@ -546,7 +543,7 @@ class QueryEngine:
         """Refuse new work and wait for every in-flight query to settle.
 
         Returns ``True`` when the engine went idle within ``timeout_s``
-        — no in-flight computations, no gathering micro-batches, an
+        — no in-flight computations, no queued micro-batches, an
         empty admission queue — and ``False`` when the deadline struck
         first (the caller shuts down anyway; the abandoned work was
         already rejected-or-running and its callers hold the futures).
@@ -1282,11 +1279,11 @@ class QueryEngine:
 
     async def _run_batch(self, loop: asyncio.AbstractEventLoop,
                          group: _BatchGroup) -> None:
-        if self.batch_window_s > 0:
-            # Let the batch gather: members arriving during the window
-            # join group.members directly instead of occupying queue slots.
-            await asyncio.sleep(self.batch_window_s)
-        self._pending_batches.pop(group.group_key, None)
+        # Flush now: the members are whoever joined while the group sat
+        # in the queue.  A full group may already have been replaced
+        # under its key by a newer one still queued; that entry stays.
+        if self._pending_batches.get(group.group_key) is group:
+            del self._pending_batches[group.group_key]
         members = list(group.members)
         kind_name = members[0].query.kind.name
         queue_delay = time.perf_counter() - group.admitted_at
@@ -1324,7 +1321,7 @@ class QueryEngine:
                     p.query, p.future,
                     DeadlineExhausted(
                         f"{p.query.kind.name} query's deadline budget ran "
-                        f"out gathering its micro-batch",
+                        f"out while its micro-batch was queued",
                         stage="micro_batch",
                     ),
                 )

@@ -15,6 +15,9 @@ and its stale-while-revalidate store may replay an old answer — both
 are only correct because handlers are deterministic functions of
 (params, scenario) with no side effects beyond the idempotent substrate
 cache.  A new handler must keep that contract.
+
+The batchable kinds register only a batch handler: a single query is
+a batch of one (see :class:`~repro.serve.queries.QueryKind`).
 """
 
 from __future__ import annotations
@@ -25,13 +28,10 @@ from typing import Any, Callable
 
 from repro.analysis.costbenefit import (
     assess_grid,
-    assess_scenario,
-    me_speedup_estimate,
     me_speedup_grid,
 )
-from repro.errors import DeviceError, QueryValidationError
+from repro.errors import DeviceError, QueryValidationError, ScenarioError
 from repro.extrapolate.model import NodeHourModel
-from repro.errors import ScenarioError
 from repro.extrapolate.scenarios import (
     MACHINE_BUILDERS,
     build_machine,
@@ -115,14 +115,6 @@ def _costbenefit_answer(report: Any) -> Any:
     return answer
 
 
-def handle_costbenefit(params: CostBenefitParams) -> Any:
-    cancel_point()
-    report = assess_scenario(
-        _scenario(params.scenario), me_speedup=params.me_speedup
-    )
-    return _costbenefit_answer(report)
-
-
 def handle_costbenefit_batch(
     params: CostBenefitParams, me_speedups: tuple[float, ...]
 ) -> dict[float, Any]:
@@ -155,24 +147,6 @@ class NodeHoursParams:
     def __post_init__(self) -> None:
         _check_scenario(self.scenario)
         _check_speedup(self.speedup, "speedup")
-
-
-def _node_hours_answer(scenario: NodeHourModel, speedup: float) -> Any:
-    return to_jsonable(
-        {
-            "machine": scenario.name,
-            "speedup": speedup,
-            "reduction": scenario.reduction(speedup),
-            "consumed_fraction": scenario.consumed_fraction(speedup),
-            "throughput_improvement": scenario.throughput_improvement(speedup),
-            "node_hours_saved": scenario.node_hours_saved(speedup),
-        }
-    )
-
-
-def handle_node_hours(params: NodeHoursParams) -> Any:
-    cancel_point()
-    return _node_hours_answer(_scenario(params.scenario), params.speedup)
 
 
 def handle_node_hours_batch(
@@ -219,21 +193,6 @@ class MeSpeedupParams:
         _check_device(self.device)
 
 
-def handle_me_speedup(params: MeSpeedupParams) -> Any:
-    cancel_point()
-    try:
-        speedup = me_speedup_estimate(params.device, params.fmt)
-    except DeviceError as exc:  # device lacks an ME or the format
-        raise QueryValidationError(str(exc)) from None
-    return to_jsonable(
-        {
-            "device": params.device,
-            "fmt": params.fmt,
-            "me_speedup": speedup,
-        }
-    )
-
-
 def handle_me_speedup_batch(
     params: MeSpeedupParams, fmts: tuple[str, ...]
 ) -> dict[str, Any]:
@@ -241,7 +200,8 @@ def handle_me_speedup_batch(
 
     Coalesced queries differing only in ``fmt`` evaluate as a single
     :func:`~repro.analysis.costbenefit.me_speedup_grid` pass; each
-    answer equals the scalar handler's exactly.
+    answer equals :func:`~repro.analysis.costbenefit.me_speedup_estimate`
+    exactly.
     """
     cancel_point()
     try:
@@ -416,7 +376,6 @@ def default_registry() -> QueryRegistry:
             QueryKind(
                 name="costbenefit",
                 params_type=CostBenefitParams,
-                handler=handle_costbenefit,
                 description=(
                     "Machine-level ME cost-benefit verdict "
                     "(node-hour reduction, throughput, worthwhileness)"
@@ -428,7 +387,6 @@ def default_registry() -> QueryRegistry:
             QueryKind(
                 name="node_hours",
                 params_type=NodeHoursParams,
-                handler=handle_node_hours,
                 description=(
                     "One Fig. 4 sweep point: node-hour reduction of a "
                     "scenario at one ME speedup"
@@ -440,7 +398,6 @@ def default_registry() -> QueryRegistry:
             QueryKind(
                 name="me_speedup",
                 params_type=MeSpeedupParams,
-                handler=handle_me_speedup,
                 description="Realistic ME-vs-vector GEMM speedup of a device",
                 batch_axis="fmt",
                 batch_handler=handle_me_speedup_batch,

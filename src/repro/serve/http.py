@@ -66,11 +66,13 @@ __all__ = [
     "NO_STORE_HEADER",
     "RESULT_DIGEST_HEADER",
     "STATUS_BY_CODE",
+    "await_shutdown",
     "jittered_retry_after",
     "make_server",
     "main",
     "run_serve_loop",
     "parse_handler_concurrency",
+    "shutdown_on_signal",
 ]
 
 #: Request header asking the engine not to cache the answer.  Sent by
@@ -457,6 +459,36 @@ def restore_snapshot(server: ServeHTTPServer, snapshot_file: str) -> None:
               flush=True)
 
 
+def shutdown_on_signal(action: str, drain_timeout: float) -> threading.Event:
+    """Install SIGTERM/SIGINT handlers; the returned event is set by the
+    first signal, announced as ``received <SIG>; <action> (grace ...)``.
+    Call from the main thread."""
+    import signal
+
+    requested = threading.Event()
+
+    def _request_shutdown(signum: int, _frame: Any) -> None:
+        if not requested.is_set():
+            print(
+                f"received {signal.Signals(signum).name}; "
+                f"{action} (grace {drain_timeout:g}s)",
+                flush=True,
+            )
+            requested.set()
+
+    signal.signal(signal.SIGTERM, _request_shutdown)
+    signal.signal(signal.SIGINT, _request_shutdown)
+    return requested
+
+
+def await_shutdown(requested: threading.Event) -> None:
+    """Block the main thread until ``requested`` is set.  Polls: Python
+    runs signal handlers only in the main thread, and a signal delivered
+    to another thread never wakes an untimed wait there."""
+    while not requested.wait(0.1):
+        pass
+
+
 def run_serve_loop(
     server: ServeHTTPServer,
     *,
@@ -478,22 +510,7 @@ def run_serve_loop(
     in-flight queries and their HTTP handler threads, flush the final
     snapshot, exit cleanly.
     """
-    import signal
-
-    shutdown_requested = threading.Event()
-
-    def _request_shutdown(signum: int, _frame: Any) -> None:
-        if not shutdown_requested.is_set():
-            print(
-                f"received {signal.Signals(signum).name}; "
-                f"draining (grace {drain_timeout:g}s)",
-                flush=True,
-            )
-            shutdown_requested.set()
-
-    signal.signal(signal.SIGTERM, _request_shutdown)
-    signal.signal(signal.SIGINT, _request_shutdown)
-
+    shutdown_requested = shutdown_on_signal("draining", drain_timeout)
     serve_thread = threading.Thread(
         target=server.serve_forever, name=f"{name}-http", daemon=True
     )
@@ -518,7 +535,7 @@ def run_serve_loop(
             daemon=True,
         ).start()
 
-    shutdown_requested.wait()
+    await_shutdown(shutdown_requested)
 
     # The drain sequence: refuse new work first, then wait for what is
     # already running — engine in-flight queries AND the HTTP handler

@@ -75,6 +75,18 @@ def canonical_hash(kind: str, params: Any) -> str:
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 
+def _batch_of_one(
+    batch_handler: Callable[[Any, tuple[Any, ...]], dict[Any, Any]], axis: str
+) -> Callable[[Any], Any]:
+    """A single-query handler that answers through ``batch_handler``."""
+
+    def handler(params: Any) -> Any:
+        value = getattr(params, axis)
+        return batch_handler(params, (value,))[value]
+
+    return handler
+
+
 @dataclass(frozen=True)
 class QueryKind:
     """One registered query type.
@@ -83,15 +95,17 @@ class QueryKind:
     ``batch_axis`` names the scalar field queries may differ in, and
     ``batch_handler`` answers a whole group at once — it receives one
     representative params instance plus the sorted distinct axis values
-    and returns ``{axis_value: answer}``.  ``substrates`` names the
+    and returns ``{axis_value: answer}``.  A batchable kind may omit
+    ``handler``: it is then derived as a batch of one, so every kind's
+    ``handler`` answers a single query.  ``substrates`` names the
     pipeline substrates the answer depends on; their seeds join the
     result-cache key.
     """
 
     name: str
     params_type: type
-    handler: Callable[[Any], Any]
-    description: str
+    handler: Callable[[Any], Any] | None = None
+    description: str = ""
     substrates: tuple[str, ...] = ()
     batch_axis: str | None = None
     batch_handler: Callable[[Any, tuple[Any, ...]], dict[Any, Any]] | None = None
@@ -100,6 +114,16 @@ class QueryKind:
         if (self.batch_axis is None) != (self.batch_handler is None):
             raise ValueError(
                 f"{self.name}: batch_axis and batch_handler come together"
+            )
+        if self.handler is None:
+            if self.batch_handler is None:
+                raise ValueError(
+                    f"{self.name}: needs a handler or a batch_handler"
+                )
+            object.__setattr__(
+                self,
+                "handler",
+                _batch_of_one(self.batch_handler, self.batch_axis),
             )
 
     def build_params(self, raw: dict[str, Any] | None) -> Any:

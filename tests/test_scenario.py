@@ -152,6 +152,37 @@ class TestMachineOverlay:
         assert next(d for d in base.domains
                     if d.domain == "Other").accelerable == pytest.approx(0.10)
 
+    def test_baseline_model_is_built_once_and_shared(self):
+        assert build_machine("anl") is build_machine("anl")
+        assert build_machine("anl") is not build_machine("future")
+
+    def test_overlays_get_their_own_models(self):
+        base = build_machine("k_computer")
+        ai = scenario_from_dict(AI_MIX)
+        other = scenario_from_dict(
+            {"extrapolation": {"other_gemm_assumption": 0.5}})
+        with scenario_context(ai):
+            edited = build_machine("k_computer")
+            assert edited is build_machine("k_computer")
+        with scenario_context(other):
+            assert build_machine("k_computer") is not edited
+        assert edited is not base
+        assert build_machine("k_computer") is base
+
+    def test_overlay_machine_errors_are_not_memoized(self):
+        bad = scenario_from_dict({"machines": [
+            {"name": "ghost", "base": "atlantis"}]})
+        for _ in range(2):
+            with scenario_context(bad), pytest.raises(
+                ScenarioError, match="unknown base"
+            ):
+                build_machine("ghost")
+        good = scenario_from_dict({"machines": [
+            {"name": "ghost", "base": "anl"}]})
+        with scenario_context(good):
+            assert build_machine("ghost").reduction(4.0) == pytest.approx(
+                build_machine("anl").reduction(4.0))
+
 
 class TestSubstrateCacheSeams:
     def test_scenario_keys_disjoint_from_baseline_and_each_other(self):

@@ -132,6 +132,32 @@ class TestRegistryValidation:
                 description="", batch_axis="x",
             )
 
+    def test_batch_only_kind_answers_a_single_query_as_a_batch_of_one(self):
+        @dataclass(frozen=True)
+        class P:
+            base: str = "b"
+            x: float = 0.0
+
+        calls = []
+
+        def batch(p, values):
+            calls.append(values)
+            return {v: {"base": p.base, "x": v} for v in values}
+
+        kind = QueryKind(
+            name="sweep", params_type=P, batch_axis="x", batch_handler=batch
+        )
+        assert kind.handler(P(x=2.0)) == {"base": "b", "x": 2.0}
+        assert calls == [(2.0,)]
+
+    def test_kind_needs_some_handler(self):
+        @dataclass(frozen=True)
+        class P:
+            x: float = 0.0
+
+        with pytest.raises(ValueError, match="handler or a batch_handler"):
+            QueryKind(name="bad", params_type=P)
+
 
 # -- metrics ----------------------------------------------------------------
 
@@ -345,13 +371,56 @@ class TestResultCache:
         assert record["slow"] == [5, 5]
 
 
+@dataclass(frozen=True)
+class BlockParams:
+    key: int = 0
+
+
+def gated_registry(record, gates):
+    """A blocking scalar kind and a batch-only sweep kind, each held
+    until its ``threading.Event`` in ``gates`` is set.
+
+    ``record["block"]`` collects the keys of started blocking queries,
+    ``record["batch"]`` the axis values of each started batch.
+    """
+
+    def block_handler(p):
+        record.setdefault("block", []).append(p.key)
+        gates["block"].wait(10)
+        return {"key": p.key}
+
+    def sweep_batch(p, values):
+        record.setdefault("batch", []).append(tuple(values))
+        gates["sweep"].wait(10)
+        return {v: {"base": p.base, "x": v} for v in values}
+
+    return QueryRegistry(
+        (
+            QueryKind(
+                name="block", params_type=BlockParams, handler=block_handler,
+            ),
+            QueryKind(
+                name="sweep", params_type=SweepParams, batch_axis="x",
+                batch_handler=sweep_batch,
+            ),
+        )
+    )
+
+
+async def wait_until(condition, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        await asyncio.sleep(0.001)
+
+
 class TestMicroBatching:
     def test_sweep_queries_collapse_into_one_evaluation(self):
         record = {}
 
         async def go():
             async with QueryEngine(
-                make_test_registry(record), workers=1, batch_window_s=0.05
+                make_test_registry(record), workers=1
             ) as engine:
                 return await asyncio.gather(
                     *(
@@ -373,7 +442,7 @@ class TestMicroBatching:
 
         async def go():
             async with QueryEngine(
-                make_test_registry(record), workers=2, batch_window_s=0.05
+                make_test_registry(record), workers=2
             ) as engine:
                 return await asyncio.gather(
                     engine.submit("sweep", {"base": "a", "x": 1.0}),
@@ -396,7 +465,6 @@ class TestMicroBatching:
             async with QueryEngine(
                 make_test_registry(record),
                 workers=1,
-                batch_window_s=0.05,
                 max_batch=4,
             ) as engine:
                 await asyncio.gather(
@@ -414,7 +482,7 @@ class TestMicroBatching:
 
         async def go():
             async with QueryEngine(
-                make_test_registry(record), workers=1, batch_window_s=0.05
+                make_test_registry(record), workers=1
             ) as engine:
                 await asyncio.gather(
                     *(
@@ -428,6 +496,92 @@ class TestMicroBatching:
         assert snap["counters"]["computed"] == 5
         assert snap["counters"]["batched"] >= 2
         assert snap["batch_size"]["max"] >= 2
+
+    def test_lone_batchable_submit_never_sleeps(self, monkeypatch):
+        import repro.serve.engine as engine_module
+
+        def no_sleep(*_args, **_kwargs):
+            raise AssertionError("the engine slept on the serve path")
+
+        record = {}
+
+        async def go():
+            async with QueryEngine(
+                make_test_registry(record), workers=1
+            ) as engine:
+                monkeypatch.setattr(engine_module.asyncio, "sleep", no_sleep)
+                return await engine.submit("sweep", {"x": 3.0}, timeout=5)
+
+        response = run(go())
+        assert response.value == {"base": "b", "x": 3.0}
+        assert record["batch"] == [("b", (3.0,))]
+
+    def test_group_keeps_gathering_while_workers_are_busy(self):
+        record = {}
+        gates = {"block": threading.Event(), "sweep": threading.Event()}
+        gates["sweep"].set()
+
+        async def go():
+            async with QueryEngine(
+                gated_registry(record, gates), workers=1
+            ) as engine:
+                blocker = asyncio.ensure_future(engine.submit("block"))
+                await wait_until(lambda: record.get("block") == [0])
+                tasks = []
+                for x in range(3):
+                    # One member per tick: the group still gathers, since
+                    # the only worker is busy and nothing dequeues it.
+                    tasks.append(asyncio.ensure_future(
+                        engine.submit("sweep", {"x": float(x)})
+                    ))
+                    await asyncio.sleep(0.01)
+                gates["block"].set()
+                await blocker
+                return await asyncio.gather(*tasks)
+
+        responses = run(go())
+        assert record["batch"] == [(0.0, 1.0, 2.0)]
+        assert all(r.batched for r in responses)
+
+    def test_full_group_does_not_drop_its_successor(self):
+        # max_batch=2 with both workers busy: x=0,1 fill group A, x=2,3
+        # group B, x=4 opens group C under the same key.  A's worker
+        # must not unregister C, so a late x=99 still joins C.
+        record = {}
+        gates = {"block": threading.Event(), "sweep": threading.Event()}
+
+        async def go():
+            async with QueryEngine(
+                gated_registry(record, gates), workers=2, max_batch=2
+            ) as engine:
+                blockers = [
+                    asyncio.ensure_future(engine.submit("block", {"key": k}))
+                    for k in (1, 2)
+                ]
+                await wait_until(lambda: len(record.get("block", [])) == 2)
+                tasks = [
+                    asyncio.ensure_future(
+                        engine.submit("sweep", {"x": float(x)})
+                    )
+                    for x in range(5)
+                ]
+                await asyncio.sleep(0)
+                gates["block"].set()
+                # Groups A and B are now on the workers; C is queued.
+                await wait_until(lambda: len(record.get("batch", [])) == 2)
+                tasks.append(asyncio.ensure_future(
+                    engine.submit("sweep", {"x": 99.0})
+                ))
+                await asyncio.sleep(0)
+                gates["sweep"].set()
+                await asyncio.gather(*blockers)
+                return await asyncio.gather(*tasks)
+
+        responses = run(go())
+        assert [r.value["x"] for r in responses] == [0, 1, 2, 3, 4, 99]
+        assert sorted(record["batch"]) == [
+            (0.0, 1.0), (2.0, 3.0), (4.0, 99.0),
+        ]
 
 
 class TestBackpressure:

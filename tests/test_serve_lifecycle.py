@@ -335,3 +335,34 @@ class TestSigtermUnderLoad:
         finally:
             if proc.poll() is None:
                 proc.kill()
+
+
+class TestSignalOnAnyThread:
+    def test_shutdown_wait_wakes_when_another_thread_takes_the_signal(self):
+        # The kernel may deliver SIGTERM to any thread of the process;
+        # the serve loop must still see it (an untimed Event.wait() in
+        # the main thread never wakes, so the drain never starts).
+        script = (
+            "import signal, threading\n"
+            "from repro.serve.http import await_shutdown\n"
+            "requested = threading.Event()\n"
+            "signal.signal(signal.SIGTERM, lambda *_: requested.set())\n"
+            "def hit():\n"
+            "    signal.pthread_kill(threading.get_ident(), signal.SIGTERM)\n"
+            "threading.Timer(0.2, hit).start()\n"
+            "await_shutdown(requested)\n"
+            "print('woke')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE,
+            text=True, env=env,
+        )
+        try:
+            out, _ = proc.communicate(timeout=10)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate(timeout=10)
+        assert proc.returncode == 0
+        assert out.strip() == "woke"

@@ -21,6 +21,11 @@ The pieces:
   routing with bounded spill-over and aggregated ``/metrics``;
 * :mod:`~repro.cluster.supervisor` — spawn/watch/restart/drain;
 * :mod:`~repro.cluster.cli` — the ``--cluster`` command line.
+
+Workers and router speak HTTP/1.1 through one stack,
+:mod:`repro.serve.wire` (framing, the keep-alive server loop, and the
+pooled client the router reaches shards with), and all three command
+lines build on one option parser, :func:`repro.serve.http.serve_parser`.
 """
 
 from repro.cluster.protocol import (

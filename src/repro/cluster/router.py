@@ -1,8 +1,9 @@
 """The asyncio cluster router: one front door, N shared-nothing shards.
 
-A single-threaded asyncio HTTP server (stdlib only) that speaks the
-exact ``repro-serve`` wire protocol, so :class:`HttpServeClient`, curl,
-and the CI smoke scripts work unchanged against a cluster.  For every
+A single-threaded asyncio HTTP server that speaks the exact
+``repro-serve`` wire protocol through the same stack the workers serve
+with (:mod:`repro.serve.wire`), so :class:`HttpServeClient`, curl, and
+the CI smoke scripts work unchanged against a cluster.  For every
 ``POST /query`` it:
 
 1. validates and canonicalises the query (malformed input is a typed
@@ -10,8 +11,9 @@ and the CI smoke scripts work unchanged against a cluster.  For every
 2. consistent-hashes the canonical fingerprint to a shard
    (:class:`~repro.cluster.ring.HashRing`), so each worker's LRU +
    substrate caches stay hot for its slice of the query space;
-3. forwards over a keep-alive connection pool to the worker, and
-   annotates the answer with ``"shard"`` and ``"spilled"``;
+3. forwards over a keep-alive :class:`~repro.serve.wire.ConnectionPool`
+   to the worker, and annotates the answer with ``"shard"`` and
+   ``"spilled"``;
 4. on a dead, draining, cooling-down, or breaker-open shard, spills to
    the next ring neighbour(s) — bounded by ``spill`` — and, when the
    whole preference list is unavailable, answers a typed 503
@@ -46,7 +48,6 @@ from repro.errors import (
     CircuitOpen,
     DeadlineExhausted,
     QueryValidationError,
-    ReproError,
     ServiceDraining,
     ShardUnavailable,
 )
@@ -56,21 +57,19 @@ from repro.serve.deadline import (
     DeadlineBudget,
     parse_deadline_header,
 )
-from repro.serve.http import (
-    DEFAULT_ERROR_STATUS,
-    NO_STORE_HEADER,
-    STATUS_BY_CODE,
-    jittered_retry_after,
-)
+from repro.serve.engine import scenario_listing
+from repro.serve.http import NO_STORE_HEADER
 from repro.serve.metrics import Counter, Histogram, render_text_metrics
+from repro.serve.wire import (
+    ConnectionPool,
+    HttpServer,
+    Request,
+    Response,
+    error_response,
+    json_response,
+)
 
 __all__ = ["ClusterRouter"]
-
-_REASONS = {
-    200: "OK", 400: "Bad Request", 404: "Not Found",
-    429: "Too Many Requests", 500: "Internal Server Error",
-    503: "Service Unavailable", 504: "Gateway Timeout",
-}
 
 #: Router-side counters (the worker lifecycle counters live on the
 #: workers; these cover the routing layer itself).
@@ -90,117 +89,6 @@ ROUTER_COUNTERS = (
     "hedge_wins",        # hedged queries answered by the backup first
     "integrity_rejected",  # 200 replies dropped: digest mismatch (spilled)
 )
-
-
-def _response_bytes(
-    status: int,
-    body: bytes,
-    *,
-    content_type: str = "application/json",
-    retry_after: float | None = None,
-    keep_alive: bool = True,
-) -> bytes:
-    head = [
-        f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}",
-        f"Content-Type: {content_type}",
-        f"Content-Length: {len(body)}",
-        "Connection: " + ("keep-alive" if keep_alive else "close"),
-    ]
-    if retry_after is not None:
-        head.append(f"Retry-After: {retry_after:g}")
-    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
-
-
-class _WorkerPool:
-    """Keep-alive connections to one worker URL (event-loop confined)."""
-
-    def __init__(self, host: str, port: int) -> None:
-        self.host = host
-        self.port = port
-        self._idle: list[tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
-
-    async def request(
-        self,
-        method: str,
-        path: str,
-        body: bytes,
-        headers: dict[str, str] | None = None,
-    ) -> tuple[int, dict[str, str], bytes]:
-        """One HTTP exchange; a stale pooled connection is retried once
-        on a fresh one, a fresh-connection failure propagates.
-
-        ``headers`` are extra request headers (the propagated deadline
-        budget rides here).  Cancellation-safe: a hedge loser cancelled
-        mid-exchange closes its connection instead of re-pooling it —
-        the worker's half-written response would corrupt the next
-        request on that socket.
-        """
-        extra = ""
-        if headers:
-            extra = "".join(f"{k}: {v}\r\n" for k, v in headers.items())
-        for attempt in (0, 1):
-            reused = bool(self._idle)
-            if reused:
-                reader, writer = self._idle.pop()
-            else:
-                reader, writer = await asyncio.open_connection(
-                    self.host, self.port
-                )
-            try:
-                request = (
-                    f"{method} {path} HTTP/1.1\r\n"
-                    f"Host: {self.host}:{self.port}\r\n"
-                    "Content-Type: application/json\r\n"
-                    f"Content-Length: {len(body)}\r\n"
-                    f"{extra}"
-                    "Connection: keep-alive\r\n\r\n"
-                ).encode("latin-1") + body
-                writer.write(request)
-                await writer.drain()
-                status, rheaders, payload = await self._read_response(reader)
-            except asyncio.CancelledError:
-                writer.close()
-                raise
-            except (ConnectionError, asyncio.IncompleteReadError, OSError):
-                writer.close()
-                if reused and attempt == 0:
-                    continue  # the worker closed an idle connection
-                raise
-            if rheaders.get("connection", "").lower() == "close":
-                writer.close()
-            else:
-                self._idle.append((reader, writer))
-            return status, rheaders, payload
-        raise ConnectionError("unreachable")  # pragma: no cover
-
-    @staticmethod
-    async def _read_response(
-        reader: asyncio.StreamReader,
-    ) -> tuple[int, dict[str, str], bytes]:
-        line = await reader.readline()
-        if not line:
-            raise ConnectionError("worker closed the connection")
-        parts = line.decode("latin-1").split(None, 2)
-        if len(parts) < 2 or not parts[1].isdigit():
-            raise ConnectionError(f"malformed status line {line!r}")
-        status = int(parts[1])
-        headers: dict[str, str] = {}
-        while True:
-            hline = await reader.readline()
-            if hline in (b"\r\n", b"\n"):
-                break
-            if not hline:
-                raise ConnectionError("worker truncated response headers")
-            name, _, value = hline.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0))
-        payload = await reader.readexactly(length) if length else b""
-        return status, headers, payload
-
-    def close(self) -> None:
-        for _, writer in self._idle:
-            writer.close()
-        self._idle.clear()
 
 
 class ClusterRouter:
@@ -226,10 +114,10 @@ class ClusterRouter:
         verbose: bool = False,
     ) -> None:
         if spill < 0:
-            raise ValueError(f"spill must be >= 0, got {spill}")
+            raise ValueError(f"--spill expects an integer >= 0, got {spill}")
         if not 0.0 < hedge_ratio <= 1.0:
             raise ValueError(
-                f"hedge_ratio must be in (0, 1], got {hedge_ratio}"
+                f"--hedge-ratio expects a ratio in (0, 1], got {hedge_ratio}"
             )
         self.table = table
         self.ring = ring
@@ -256,13 +144,11 @@ class ClusterRouter:
             failure_threshold=breaker_threshold,
             recovery_s=breaker_recovery_s,
         )
-        self._pools: dict[str, _WorkerPool] = {}
+        self._pools: dict[str, ConnectionPool] = {}
         self._draining = False
-        self._active = 0
-        self._active_lock = threading.Lock()
+        self._http = HttpServer(self._dispatch, role="router")
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
-        self._server: asyncio.AbstractServer | None = None
         self.url: str | None = None
 
     # -- lifecycle -----------------------------------------------------------
@@ -282,15 +168,8 @@ class ClusterRouter:
         )
         self._thread.start()
 
-        async def _bind() -> tuple[str, int]:
-            self._server = await asyncio.start_server(
-                self._handle_conn, host, port
-            )
-            bound = self._server.sockets[0].getsockname()
-            return bound[0], bound[1]
-
         bound_host, bound_port = asyncio.run_coroutine_threadsafe(
-            _bind(), self._loop
+            self._http.start(host, port), self._loop
         ).result(timeout=30)
         self.url = f"http://{bound_host}:{bound_port}"
         return self
@@ -300,9 +179,7 @@ class ClusterRouter:
             return
 
         async def _teardown() -> None:
-            if self._server is not None:
-                self._server.close()
-                await self._server.wait_closed()
+            await self._http.close()
             for pool in self._pools.values():
                 pool.close()
             self._pools.clear()
@@ -315,29 +192,15 @@ class ClusterRouter:
         self._loop.close()
         self._loop = None
         self._thread = None
-        self._server = None
 
     def begin_drain(self) -> None:
         """New queries answer 503 + ``Retry-After``; probes keep working."""
         self._draining = True
 
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    def active_requests(self) -> int:
-        with self._active_lock:
-            return self._active
-
     def await_quiescence(self, timeout_s: float) -> bool:
-        import time
-
-        deadline = time.monotonic() + timeout_s
-        while self.active_requests() > 0:
-            if time.monotonic() >= deadline:
-                return False
-            time.sleep(0.005)
-        return True
+        """Wait for the in-flight requests to be answered (``True``) or
+        the deadline (``False``)."""
+        return self._http.await_quiescence(timeout_s)
 
     # -- metrics -------------------------------------------------------------
 
@@ -361,139 +224,35 @@ class ClusterRouter:
             },
         }
 
-    # -- connection handling -------------------------------------------------
-
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                request = await self._read_request(reader)
-                if request is None:
-                    break
-                method, target, headers, body = request
-                with self._active_lock:
-                    self._active += 1
-                try:
-                    response = await self._dispatch(
-                        method, target, body, headers
-                    )
-                except ReproError as exc:
-                    response = self._error_response(exc)
-                except Exception as exc:  # router bug: typed, not bare
-                    response = self._error_response(
-                        ReproError(f"router failure: {exc}")
-                    )
-                finally:
-                    with self._active_lock:
-                        self._active -= 1
-                close = headers.get("connection", "").lower() == "close"
-                status, payload, content_type, retry_after = response
-                writer.write(_response_bytes(
-                    status, payload,
-                    content_type=content_type,
-                    retry_after=retry_after,
-                    keep_alive=not close,
-                ))
-                await writer.drain()
-                if close:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError, OSError):
-            pass
-        finally:
-            writer.close()
-
-    @staticmethod
-    async def _read_request(
-        reader: asyncio.StreamReader,
-    ) -> tuple[str, str, dict[str, str], bytes] | None:
-        line = await reader.readline()
-        if not line or line in (b"\r\n", b"\n"):
-            return None
-        parts = line.decode("latin-1").strip().split()
-        if len(parts) != 3:
-            raise ConnectionError(f"malformed request line {line!r}")
-        method, target, _version = parts
-        headers: dict[str, str] = {}
-        for _ in range(200):
-            hline = await reader.readline()
-            if hline in (b"\r\n", b"\n"):
-                break
-            if not hline:
-                raise ConnectionError("client truncated request headers")
-            name, _, value = hline.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0))
-        body = await reader.readexactly(length) if length else b""
-        return method, target, headers, body
-
-    def _error_response(
-        self, exc: ReproError
-    ) -> tuple[int, bytes, str, float | None]:
-        status = STATUS_BY_CODE.get(exc.code, DEFAULT_ERROR_STATUS)
-        retry_after = exc.retry_after
-        if retry_after is not None:
-            # Jitter the hint so a fleet of rejected clients does not
-            # come back in one synchronized retry wave.
-            retry_after = jittered_retry_after(retry_after)
-        return (
-            status,
-            json.dumps(exc.to_dict()).encode("utf-8"),
-            "application/json",
-            retry_after,
-        )
-
-    @staticmethod
-    def _json(
-        status: int, payload: Any
-    ) -> tuple[int, bytes, str, float | None]:
-        return status, json.dumps(payload).encode("utf-8"), \
-            "application/json", None
-
-    async def _dispatch(
-        self, method: str, target: str, body: bytes,
-        headers: dict[str, str] | None = None,
-    ) -> tuple[int, bytes, str, float | None]:
-        parsed = urllib.parse.urlsplit(target)
-        path = parsed.path
-        if method == "POST" and path == "/query":
-            return await self._handle_query(body, headers)
-        if method != "GET":
-            return self._json(
-                404, {"error": f"no such endpoint: {method} {path}"}
+    async def _dispatch(self, request: Request) -> Response:
+        path = request.path
+        if request.method == "POST" and path == "/query":
+            return await self._handle_query(request)
+        if request.method != "GET":
+            return json_response(
+                404, {"error": f"no such endpoint: {request.method} {path}"}
             )
         if path == "/healthz":
-            return self._json(200, self._health())
+            return json_response(200, self._health())
         if path == "/readyz":
             readiness = await self._readiness()
-            return self._json(200 if readiness["ready"] else 503, readiness)
+            return json_response(200 if readiness["ready"] else 503,
+                                 readiness)
         if path == "/metrics":
-            query = urllib.parse.parse_qs(parsed.query)
-            as_text = query.get("format", ["json"])[-1] == "text"
             aggregated = await self._metrics()
-            if as_text:
-                return (
+            if request.query.get("format", ["json"])[-1] == "text":
+                return Response(
                     200,
                     self._render_cluster_text(aggregated).encode("utf-8"),
                     "text/plain; charset=utf-8",
-                    None,
                 )
-            return self._json(200, aggregated)
+            return json_response(200, aggregated)
         if path == "/kinds":
-            return self._json(200, self._registry.describe())
+            return json_response(200, self._registry.describe())
         if path == "/scenarios":
-            return self._json(200, {
-                name: {
-                    "description": spec.description,
-                    "fingerprint": spec.fingerprint,
-                    "devices": [d.name for d in spec.devices],
-                    "workloads": [w.qualified_name for w in spec.workloads],
-                    "machines": [m.name for m in spec.machines],
-                }
-                for name, spec in sorted(self._scenarios.items())
-            })
+            return json_response(200, scenario_listing(self._scenarios))
         if path == "/shards":
-            return self._json(200, {
+            return json_response(200, {
                 "shards": {
                     str(sid): meta
                     for sid, meta in self.table.snapshot().items()
@@ -505,45 +264,46 @@ class ClusterRouter:
                 },
                 "spill": self.spill,
             })
-        return self._json(404, {"error": f"no such endpoint: {path}"})
+        return json_response(404, {"error": f"no such endpoint: {path}"})
 
     # -- the routing path ----------------------------------------------------
 
-    async def _handle_query(
-        self, body: bytes, req_headers: dict[str, str] | None = None
-    ) -> tuple[int, bytes, str, float | None]:
+    async def _handle_query(self, request: Request) -> Response:
         self._inc("requests")
         if self._draining:
             self._inc("drain_rejected")
-            return self._error_response(ServiceDraining(
+            return error_response(ServiceDraining(
                 "cluster is draining for shutdown; retry later"
             ))
         try:
             budget = parse_deadline_header(
-                (req_headers or {}).get(DEADLINE_HEADER.lower()),
+                request.headers.get(DEADLINE_HEADER.lower()),
                 clock=self._loop.time,
             )
         except QueryValidationError as exc:
             self._inc("invalid")
-            return self._error_response(exc)
+            return error_response(exc)
+        body = request.body
         try:
-            request = json.loads(body or b"{}")
-            kind = request["kind"]
-            params = request.get("params") or {}
-            scenario = request.get("scenario")
+            query = json.loads(body or b"{}")
+            kind = query["kind"]
+            params = query.get("params") or {}
+            scenario = query.get("scenario")
         except (ValueError, KeyError, TypeError) as exc:
             self._inc("invalid")
-            return self._json(400, {"error": f"malformed query request: {exc}"})
+            return json_response(
+                400, {"error": f"malformed query request: {exc}"}
+            )
         try:
             key = routing_key(kind, params, scenario, registry=self._registry)
         except QueryValidationError as exc:
             self._inc("invalid")
-            return self._error_response(exc)
+            return error_response(exc)
 
         t0 = self._loop.time()
         if budget is not None and budget.exhausted(floor_ms=1.0):
             self._inc("deadline_rejected")
-            return self._error_response(DeadlineExhausted(
+            return error_response(DeadlineExhausted(
                 "deadline budget exhausted before routing",
                 stage="router",
             ))
@@ -589,7 +349,7 @@ class ClusterRouter:
         for idx, (rank, shard, url, breaker) in enumerate(candidates):
             if budget is not None and budget.exhausted(floor_ms=1.0):
                 self._inc("deadline_rejected")
-                return self._error_response(DeadlineExhausted(
+                return error_response(DeadlineExhausted(
                     f"deadline budget exhausted while routing "
                     f"(after {idx} attempt(s))",
                     stage="router",
@@ -643,9 +403,13 @@ class ClusterRouter:
             elapsed = self._loop.time() - t0
             self.latency.observe(elapsed)
             self._observe_kind_latency(kind, elapsed)
-            return status, payload, "application/json", retry_after
+            return Response(
+                status, payload,
+                headers=None if retry_after is None
+                else {"Retry-After": f"{retry_after:g}"},
+            )
         self._inc("unroutable")
-        return self._error_response(ShardUnavailable(
+        return error_response(ShardUnavailable(
             f"no shard available for this query "
             f"(tried {len(preference)}: {'; '.join(skipped)})"
         ))
@@ -888,11 +652,11 @@ class ClusterRouter:
         parsed["hedged"] = hedged
         return json.dumps(parsed).encode("utf-8")
 
-    def _pool_for(self, url: str) -> _WorkerPool:
+    def _pool_for(self, url: str) -> ConnectionPool:
         pool = self._pools.get(url)
         if pool is None:
             split = urllib.parse.urlsplit(url)
-            pool = self._pools[url] = _WorkerPool(
+            pool = self._pools[url] = ConnectionPool(
                 split.hostname, split.port
             )
         return pool

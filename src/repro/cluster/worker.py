@@ -16,22 +16,20 @@ supervisor does exactly this).
 
 from __future__ import annotations
 
-import sys
+import argparse
 
 from repro.cluster.protocol import worker_banner
 from repro.serve.http import (
-    _flag_value,
-    _float_flag,
-    _int_flag,
-    load_fault_plan_arg,
+    engine_options,
     make_server,
-    parse_handler_concurrency,
+    parse_serve_args,
     register_scenario_files,
     restore_snapshot,
     run_serve_loop,
+    serve_parser,
 )
 
-__all__ = ["main"]
+__all__ = ["main", "worker_parser"]
 
 #: How often a worker checkpoints its result cache to the shard
 #: snapshot, absent an explicit ``--snapshot-interval``.  Frequent
@@ -40,70 +38,49 @@ __all__ = ["main"]
 DEFAULT_SNAPSHOT_INTERVAL_S = 5.0
 
 
+def worker_parser() -> argparse.ArgumentParser:
+    """The shared serve options plus ``--shard-id`` and the shard's
+    ``--cache-snapshot``."""
+    parser = serve_parser(
+        "python -m repro.cluster.worker",
+        "One shard worker of a repro-serve cluster (the supervisor "
+        "spawns these).",
+        port=0,
+        snapshot_interval=DEFAULT_SNAPSHOT_INTERVAL_S,
+    )
+    parser.add_argument("--shard-id", type=int, metavar="N",
+                        help="this worker's shard (required, >= 0)")
+    parser.add_argument("--cache-snapshot", metavar="FILE",
+                        help="the shard's cache snapshot: warm boot from "
+                             "it, flush to it periodically and on drain")
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point for one shard worker (spawned by the supervisor)."""
-    args = list(sys.argv[1:] if argv is None else argv)
-    shard_id = _int_flag(args, "--shard-id", -1)
-    if shard_id < 0:
+    args = parse_serve_args(worker_parser(), argv)
+    if args is None:
+        return 0
+    shard_id = args.shard_id
+    if shard_id is None or shard_id < 0:
         raise SystemExit("--shard-id N (>= 0) is required for a cluster worker")
-    host = _flag_value(args, "--host", "a bind address") or "127.0.0.1"
-    port = _int_flag(args, "--port", 0)
-    handler_concurrency = parse_handler_concurrency(args)
-    queue_size = _int_flag(args, "--queue-size", 128)
-    cache_size = _int_flag(args, "--cache-size", 256)
-    scenario_files = []
-    while True:
-        raw = _flag_value(args, "--scenario", "a JSON file argument")
-        if raw is None:
-            break
-        scenario_files.append(raw)
-    fault_plan_file = _flag_value(args, "--fault-plan", "a JSON file argument")
-    timeout = _float_flag(args, "--timeout", 30.0)
-    snapshot_file = _flag_value(
-        args, "--cache-snapshot", "a snapshot file argument"
-    )
-    snapshot_interval = _float_flag(
-        args, "--snapshot-interval", DEFAULT_SNAPSHOT_INTERVAL_S
-    )
-    verify_sample_rate = _float_flag(args, "--verify-sample-rate", 0.125)
-    scrub_interval = _float_flag(args, "--scrub-interval", 0.0)
-    drain_timeout = _float_flag(args, "--drain-timeout", 10.0)
-    verbose = "--verbose" in args
-    if verbose:
-        args.remove("--verbose")
-    if args:
-        raise SystemExit(
-            f"unknown worker argument {args[0]!r}; "
-            "see python -m repro.cluster.worker --help"
-        )
-    fault_plan = load_fault_plan_arg(fault_plan_file)
 
-    server = make_server(
-        host,
-        port,
-        verbose=verbose,
-        workers=handler_concurrency,
-        max_queue=queue_size,
-        cache_size=cache_size,
-        default_timeout_s=timeout,
-        fault_plan=fault_plan,
-        verify_sample_rate=verify_sample_rate,
-        scrub_interval_s=scrub_interval,
-    )
+    server = make_server(args.host, args.port, verbose=args.verbose,
+                         **engine_options(args))
     # Shard identity rides the worker's own metrics, so even a raw
     # per-worker /metrics scrape is attributable.
     server.client.engine.metrics.register_gauge(
         "shard_id", lambda: float(shard_id)
     )
-    register_scenario_files(server, scenario_files)
-    if snapshot_file is not None:
-        restore_snapshot(server, snapshot_file)
+    register_scenario_files(server, args.scenario)
+    if args.cache_snapshot is not None:
+        restore_snapshot(server, args.cache_snapshot)
     name = f"repro-cluster-worker shard {shard_id}"
     return run_serve_loop(
         server,
-        snapshot_file=snapshot_file,
-        drain_timeout=drain_timeout,
-        snapshot_interval=snapshot_interval,
+        snapshot_file=args.cache_snapshot,
+        drain_timeout=args.drain_timeout,
+        snapshot_interval=args.snapshot_interval,
         name=name,
         banner=worker_banner(shard_id, server.url),
     )

@@ -2,10 +2,11 @@
 
 :class:`ServeClient` is the in-process client: it owns an event loop on
 a background thread and exposes a synchronous, thread-safe ``query``
-API over a :class:`~repro.serve.engine.QueryEngine` — tests, the load
-generator, and the HTTP front end all talk to the engine through it, so
-any number of caller threads funnel onto the one loop the engine's
-state lives on.
+API over a :class:`~repro.serve.engine.QueryEngine` — tests and library
+callers talk to the engine through it, so any number of caller threads
+funnel onto the one loop the engine's state lives on.  The HTTP front
+end (:mod:`repro.serve.http`) serves on that same loop and awaits the
+engine directly.
 
 :class:`HttpServeClient` speaks the same protocol over HTTP (stdlib
 ``urllib``) against a running ``repro-serve`` server, translating the
@@ -92,13 +93,13 @@ class ServeClient:
             target=self._loop.run_forever, name="repro-serve-loop", daemon=True
         )
         self._thread.start()
-        self._run(self.engine.start())
+        self.run(self.engine.start())
         return self
 
     def close(self) -> None:
         if self._loop is None:
             return
-        self._run(self.engine.stop())
+        self.run(self.engine.stop())
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join()
         self._loop.close()
@@ -111,7 +112,8 @@ class ServeClient:
     def __exit__(self, *exc: Any) -> None:
         self.close()
 
-    def _run(self, coro: Any) -> Any:
+    def run(self, coro: Any) -> Any:
+        """Run ``coro`` on the engine's loop; block for its result."""
         if self._loop is None:
             raise ServeError("client not started; use 'with ServeClient()'")
         return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
@@ -141,7 +143,7 @@ class ServeClient:
         :class:`~repro.errors.IntegrityError` — end-to-end proof the
         bytes the caller holds are the bytes the engine computed.
         """
-        response = self._run(
+        response = self.run(
             self.engine.submit(
                 kind, params, timeout=timeout, scenario=scenario,
                 budget=budget, store=store,
@@ -182,7 +184,7 @@ class ServeClient:
                 return_exceptions=return_exceptions,
             )
 
-        return self._run(_gather())
+        return self.run(_gather())
 
     def metrics(self) -> dict[str, Any]:
         """The engine's current metrics snapshot."""
@@ -213,7 +215,7 @@ class ServeClient:
     def drain(self, timeout_s: float = 10.0) -> bool:
         """Refuse new work and wait for in-flight queries to settle;
         ``True`` when the engine went idle inside the deadline."""
-        return self._run(self.engine.drain(timeout_s))
+        return self.run(self.engine.drain(timeout_s))
 
     def save_cache_snapshot(self, path: Any) -> int:
         """Flush the result cache to a checksummed snapshot file
@@ -223,7 +225,7 @@ class ServeClient:
         async def _export() -> list:
             return self.engine.cache_entries()
 
-        entries = self._run(_export())
+        entries = self.run(_export())
         count = save_snapshot(path, entries)
         self.engine.metrics.inc("snapshot_saved", count)
         return count
@@ -248,7 +250,7 @@ class ServeClient:
         async def _restore() -> int:
             return self.engine.restore_cache(loaded.entries)
 
-        count = self._run(_restore())
+        count = self.run(_restore())
         self.engine.metrics.inc("snapshot_restored", count)
         return count
 

@@ -307,6 +307,21 @@ def _evaluate_with_recovery(
     return value
 
 
+def scenario_listing(scenarios: dict[str, ScenarioSpec]) -> dict[str, Any]:
+    """Named scenarios as the JSON ``/scenarios`` payload (a worker's
+    engine and the cluster router both serve it)."""
+    return {
+        name: {
+            "description": spec.description,
+            "fingerprint": spec.fingerprint,
+            "devices": [d.name for d in spec.devices],
+            "workloads": [w.qualified_name for w in spec.workloads],
+            "machines": [m.name for m in spec.machines],
+        }
+        for name, spec in sorted(scenarios.items())
+    }
+
+
 class QueryEngine:
     """Asyncio serving engine over the registered what-if queries.
 
@@ -713,7 +728,7 @@ class QueryEngine:
         """Liveness: the process answers and the engine's state.
 
         Always ``ok: true`` if this returns at all — liveness is "the
-        event loop and HTTP thread are alive", not "dependencies are
+        event loop serving HTTP is alive", not "dependencies are
         healthy"; that is :meth:`readiness`."""
         return {
             "ok": True,
@@ -767,16 +782,7 @@ class QueryEngine:
     def describe_scenarios(self) -> dict[str, Any]:
         """JSON-encodable listing of the registered scenarios — the
         ``/scenarios`` endpoint payload."""
-        return {
-            name: {
-                "description": spec.description,
-                "fingerprint": spec.fingerprint,
-                "devices": [d.name for d in spec.devices],
-                "workloads": [w.qualified_name for w in spec.workloads],
-                "machines": [m.name for m in spec.machines],
-            }
-            for name, spec in sorted(self._scenarios.items())
-        }
+        return scenario_listing(self._scenarios)
 
     def _resolve_scenario(
         self, scenario: ScenarioSpec | dict[str, Any] | str | None

@@ -1,9 +1,12 @@
 """The ``repro-serve`` HTTP front end (stdlib-only).
 
-A :class:`ThreadingHTTPServer` whose handler threads delegate to the
-thread-safe :class:`~repro.serve.client.ServeClient`, which marshals
-every request onto the engine's event loop — so concurrent HTTP
-requests coalesce, batch, and shed exactly like in-process ones.
+The server runs on the engine's own event loop — the loop a started
+:class:`~repro.serve.client.ServeClient` owns — and speaks HTTP/1.1
+through :mod:`repro.serve.wire`, the same keep-alive stack the cluster
+router uses.  ``POST /query`` awaits
+:meth:`~repro.serve.engine.QueryEngine.submit` directly, so concurrent
+HTTP requests coalesce, batch, and shed exactly like in-process ones,
+with no thread hop in between.
 
 Endpoints (JSON in, JSON out):
 
@@ -16,38 +19,40 @@ Endpoints (JSON in, JSON out):
 * ``GET /metrics`` — the engine's metrics snapshot (JSON);
   ``GET /metrics?format=text`` — the same snapshot as plain-text
   ``name{labels} value`` exposition lines for scrapers;
-* ``GET /healthz`` — liveness (the loop and HTTP thread are up);
+* ``GET /healthz`` — liveness (the engine loop is up);
 * ``GET /readyz``  — readiness: breaker states, warm substrates, the
   active fault plan, and the draining flag; HTTP 503 while any breaker
   is non-closed or the process is draining.
 
 Every error response carries the exception's machine-readable ``code``
 (see :mod:`repro.errors`), and codes map to HTTP statuses from the one
-:data:`STATUS_BY_CODE` table — invalid queries → 400, load shedding →
-429, an open circuit breaker or a draining service → 503, deadline
-expiry → 504; anything else in the taxonomy → 500 with its code, so a
-bare unclassified 500 means exactly "an exception that escaped the
-taxonomy".  Retryable rejections additionally carry a ``Retry-After``
-header (:data:`RETRY_AFTER_BY_CODE`).
+:data:`~repro.serve.wire.STATUS_BY_CODE` table — invalid queries → 400,
+load shedding → 429, an open circuit breaker or a draining service →
+503, deadline expiry → 504; anything else in the taxonomy → 500 with
+its code, so a bare unclassified 500 means exactly "an exception that
+escaped the taxonomy".  Retryable rejections additionally carry a
+jittered ``Retry-After`` header.
 
 Lifecycle: SIGTERM/SIGINT start a graceful drain — readiness flips to
 503 so load balancers stop routing here, new ``/query`` work is
-refused with 503 + ``Retry-After``, in-flight queries (and the handler
-threads carrying them) finish under ``--drain-timeout``, the result
+refused with 503 + ``Retry-After``, in-flight queries (and the
+responses carrying them) finish under ``--drain-timeout``, the result
 cache is flushed to the ``--cache-snapshot`` file (checksummed; a
 corrupt snapshot at next startup means a cold start, never a crash),
 and the process exits 0.
+
+All three serve command lines (this one, the cluster front end, a
+cluster worker) build on one argparse definition, :func:`serve_parser`.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
-import random
+import socket
 import sys
 import threading
 import time
-import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
 from repro.errors import QueryValidationError, ReproError, ServiceDraining
@@ -60,6 +65,14 @@ from repro.serve.deadline import (
     parse_deadline_ms,
 )
 from repro.serve.metrics import render_text_metrics
+from repro.serve.wire import (
+    STATUS_BY_CODE,
+    HttpServer,
+    Request,
+    Response,
+    error_response,
+    json_response,
+)
 
 __all__ = [
     "ServeHTTPServer",
@@ -67,12 +80,13 @@ __all__ = [
     "RESULT_DIGEST_HEADER",
     "STATUS_BY_CODE",
     "await_shutdown",
-    "jittered_retry_after",
     "make_server",
     "main",
+    "parse_serve_args",
     "run_serve_loop",
-    "parse_handler_concurrency",
+    "serve_parser",
     "shutdown_on_signal",
+    "single_process_parser",
 ]
 
 #: Request header asking the engine not to cache the answer.  Sent by
@@ -87,184 +101,21 @@ NO_STORE_HEADER = "X-Repro-No-Store"
 #: and prove the bytes it received are the bytes the engine computed.
 RESULT_DIGEST_HEADER = "X-Repro-Result-Digest"
 
-#: The one code→HTTP-status table.  Codes absent here answer 500; the
-#: ``code`` field still rides in the payload, so even a 500 is typed.
-STATUS_BY_CODE: dict[str, int] = {
-    "query_validation": 400,
-    "scenario_error": 400,
-    "fault_plan_error": 400,
-    "service_overloaded": 429,
-    "circuit_open": 503,
-    "service_draining": 503,
-    "shard_unavailable": 503,
-    "operation_cancelled": 503,
-    "query_timeout": 504,
-    "deadline_exhausted": 504,
-    "integrity_error": 500,
-}
-
-#: Status for a :class:`ReproError` whose code has no table entry.
-DEFAULT_ERROR_STATUS = 500
-
-#: ``Retry-After`` seconds attached to retryable rejections: shedding
-#: and draining clear in about a second (or a load balancer moves the
-#: caller to another replica); an open breaker needs its recovery
-#: window.
-RETRY_AFTER_BY_CODE: dict[str, int] = {
-    "service_overloaded": 1,
-    "service_draining": 1,
-    "circuit_open": 2,
-}
+#: How long a drained server keeps its listener open, answering new
+#: ``/query`` work with the typed 503, before it closes.  A request sent
+#: as the shutdown signal landed can be admitted ahead of the drain; its
+#: client's next request then gets a retry hint, not a refused
+#: connection.
+LATE_ARRIVAL_GRACE_S = 0.25
 
 
-def jittered_retry_after(seconds: float) -> float:
-    """Spread one ``Retry-After`` hint uniformly across ±50%.
+class ServeHTTPServer:
+    """HTTP server bound to one started :class:`ServeClient`, serving on
+    the client's event loop.
 
-    Every client that hit the same breaker/drain rejection gets a
-    *different* retry time, so they do not come back as one synchronized
-    thundering herd exactly ``seconds`` later.  Deliberately *not*
-    seeded: decorrelation is the point.
+    The socket listens from construction (connections queue in the
+    backlog); :meth:`start` begins answering them.
     """
-    return max(0.05, seconds * random.uniform(0.5, 1.5))
-
-
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    # Small header + body writes otherwise collide with delayed ACK on
-    # the peer (a ~40 ms stall per round trip through the cluster
-    # router's keep-alive connections).
-    disable_nagle_algorithm = True
-    server: "ServeHTTPServer"
-
-    def _send(
-        self,
-        status: int,
-        payload: dict[str, Any],
-        *,
-        retry_after: float | None = None,
-        extra_headers: dict[str, str] | None = None,
-    ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if retry_after is not None:
-            self.send_header("Retry-After", f"{retry_after:g}")
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, status: int, text: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "text/plain; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_error(self, exc: ReproError) -> None:
-        retry_after = exc.retry_after
-        if retry_after is None:
-            retry_after = RETRY_AFTER_BY_CODE.get(exc.code)
-        if retry_after is not None:
-            retry_after = jittered_retry_after(retry_after)
-        self._send(
-            STATUS_BY_CODE.get(exc.code, DEFAULT_ERROR_STATUS),
-            exc.to_dict(),
-            retry_after=retry_after,
-        )
-
-    def log_message(self, fmt: str, *args: Any) -> None:
-        if self.server.verbose:  # pragma: no cover - log formatting
-            super().log_message(fmt, *args)
-
-    def do_GET(self) -> None:
-        with self.server.track_request():
-            client = self.server.client
-            parsed = urllib.parse.urlsplit(self.path)
-            if self.path == "/healthz":
-                self._send(200, client.health())
-            elif self.path == "/readyz":
-                readiness = client.readiness()
-                self._send(200 if readiness["ready"] else 503, readiness)
-            elif parsed.path == "/metrics":
-                query = urllib.parse.parse_qs(parsed.query)
-                if query.get("format", ["json"])[-1] == "text":
-                    self._send_text(200, render_text_metrics(client.metrics()))
-                else:
-                    self._send(200, client.metrics())
-            elif self.path == "/kinds":
-                self._send(200, client.kinds())
-            elif self.path == "/scenarios":
-                self._send(200, client.scenarios())
-            else:
-                self._send(404, {"error": f"no such endpoint: {self.path}"})
-
-    def do_POST(self) -> None:
-        with self.server.track_request():
-            if self.path != "/query":
-                self._send(404, {"error": f"no such endpoint: {self.path}"})
-                return
-            if self.server.draining:
-                # Rejected at the door: the drain sequence counts this
-                # handler thread, but the engine never sees the query.
-                self._send_error(ServiceDraining(
-                    "service is draining for shutdown; retry against "
-                    "another replica"
-                ))
-                return
-            try:
-                length = int(self.headers.get("Content-Length", 0))
-                request = json.loads(self.rfile.read(length) or b"{}")
-                kind = request["kind"]
-                params = request.get("params") or {}
-                scenario = request.get("scenario")
-                deadline_ms = request.get("deadline_ms")
-            except (ValueError, KeyError, TypeError) as exc:
-                self._send(400, {"error": f"malformed query request: {exc}"})
-                return
-            try:
-                # The wire header (an upstream hop's remaining budget)
-                # wins over the body field (a direct client's ask).
-                budget = parse_deadline_header(
-                    self.headers.get(DEADLINE_HEADER)
-                )
-                if budget is None and deadline_ms is not None:
-                    budget = DeadlineBudget(parse_deadline_ms(deadline_ms))
-            except QueryValidationError as exc:
-                self.server.client.engine.metrics.inc("invalid")
-                self._send_error(exc)
-                return
-            store = self.headers.get(NO_STORE_HEADER, "") in ("", "0")
-            try:
-                response = self.server.client.query(
-                    kind, params, scenario=scenario, budget=budget,
-                    store=store,
-                )
-            except ReproError as exc:
-                self._send_error(exc)
-            else:
-                payload = response.to_dict()
-                payload["ok"] = True
-                extra = (
-                    {RESULT_DIGEST_HEADER: response.digest}
-                    if response.digest
-                    else None
-                )
-                self._send(200, payload, extra_headers=extra)
-
-
-class ServeHTTPServer(ThreadingHTTPServer):
-    """HTTP server bound to one started :class:`ServeClient`.
-
-    Tracks its in-flight request count so a graceful shutdown can wait
-    for the handler threads — ``daemon_threads`` means nobody else
-    will — and carries the ``draining`` flag the handlers consult to
-    turn new ``/query`` work away with 503 + ``Retry-After``.
-    """
-
-    daemon_threads = True
 
     def __init__(
         self,
@@ -274,52 +125,112 @@ class ServeHTTPServer(ThreadingHTTPServer):
         verbose: bool = False,
     ) -> None:
         self.client = client
-        self.verbose = verbose
-        self.draining = False
-        self._active_lock = threading.Lock()
-        self._active_requests = 0
-        super().__init__(address, _Handler)
+        self._sock = socket.create_server(address)
+        self.url = "http://%s:%d" % self._sock.getsockname()[:2]
+        self._http = HttpServer(self._route, role="server",
+                                access_log=verbose)
+        self._started = False
+        self._stopped = threading.Event()
 
-    @property
-    def url(self) -> str:
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
+    def start(self) -> None:
+        """Begin answering requests on the client's loop."""
+        if not self._started:
+            self._started = True
+            self.client.run(self._http.start(sock=self._sock))
 
-    def track_request(self) -> "_RequestTracker":
-        return _RequestTracker(self)
+    def serve_forever(self) -> None:
+        """:meth:`start`, then block until :meth:`shutdown`."""
+        self.start()
+        self._stopped.wait()
 
-    def active_requests(self) -> int:
-        with self._active_lock:
-            return self._active_requests
+    def shutdown(self) -> None:
+        """Stop answering: close the listener and every connection."""
+        if self._started:
+            self.client.run(self._http.close())
+        self._stopped.set()
+
+    def server_close(self) -> None:
+        self._sock.close()
 
     def begin_drain(self) -> None:
         """Flip to draining: ``/readyz`` answers 503, new ``/query``
         requests are turned away, the engine stops admitting work."""
-        self.draining = True
         self.client.begin_drain()
 
     def await_quiescence(self, timeout_s: float) -> bool:
-        """Wait for the in-flight HTTP handlers to finish (``True``) or
+        """Wait for the in-flight requests to be answered (``True``) or
         the deadline (``False``)."""
-        deadline = time.monotonic() + timeout_s
-        while self.active_requests() > 0:
-            if time.monotonic() >= deadline:
-                return False
-            time.sleep(0.005)
-        return True
+        return self._http.await_quiescence(timeout_s)
 
+    async def _route(self, request: Request) -> Response:
+        client = self.client
+        if request.method == "POST" and request.path == "/query":
+            return await self._query(request)
+        if request.method == "GET":
+            if request.path == "/healthz":
+                return json_response(200, client.health())
+            if request.path == "/readyz":
+                readiness = client.readiness()
+                return json_response(200 if readiness["ready"] else 503,
+                                     readiness)
+            if request.path == "/metrics":
+                if request.query.get("format", ["json"])[-1] == "text":
+                    return Response(
+                        200,
+                        render_text_metrics(client.metrics()).encode("utf-8"),
+                        "text/plain; charset=utf-8",
+                    )
+                return json_response(200, client.metrics())
+            if request.path == "/kinds":
+                return json_response(200, client.kinds())
+            if request.path == "/scenarios":
+                return json_response(200, client.scenarios())
+        return json_response(
+            404, {"error": f"no such endpoint: {request.target}"}
+        )
 
-class _RequestTracker:
-    def __init__(self, server: ServeHTTPServer) -> None:
-        self._server = server
-
-    def __enter__(self) -> None:
-        with self._server._active_lock:
-            self._server._active_requests += 1
-
-    def __exit__(self, *exc: Any) -> None:
-        with self._server._active_lock:
-            self._server._active_requests -= 1
+    async def _query(self, request: Request) -> Response:
+        engine = self.client.engine
+        if engine.draining:
+            # Rejected at the door: the drain counts this request, but
+            # the engine never sees the query.
+            return error_response(ServiceDraining(
+                "service is draining for shutdown; retry against "
+                "another replica"
+            ))
+        try:
+            query = json.loads(request.body or b"{}")
+            kind = query["kind"]
+            params = query.get("params") or {}
+            scenario = query.get("scenario")
+            deadline_ms = query.get("deadline_ms")
+        except (ValueError, KeyError, TypeError) as exc:
+            return json_response(
+                400, {"error": f"malformed query request: {exc}"}
+            )
+        try:
+            # The wire header (an upstream hop's remaining budget) wins
+            # over the body field (a direct client's ask).
+            budget = parse_deadline_header(
+                request.headers.get(DEADLINE_HEADER.lower())
+            )
+            if budget is None and deadline_ms is not None:
+                budget = DeadlineBudget(parse_deadline_ms(deadline_ms))
+        except QueryValidationError as exc:
+            engine.metrics.inc("invalid")
+            return error_response(exc)
+        store = request.headers.get(NO_STORE_HEADER.lower(), "") in ("", "0")
+        response = await engine.submit(
+            kind, params, scenario=scenario, budget=budget, store=store,
+        )
+        payload = response.to_dict()
+        payload["ok"] = True
+        return json_response(
+            200,
+            payload,
+            {RESULT_DIGEST_HEADER: response.digest} if response.digest
+            else None,
+        )
 
 
 def make_server(
@@ -333,63 +244,95 @@ def make_server(
     """Build a server (and, unless given one, a started client).
 
     ``port=0`` binds an ephemeral port — read ``server.url`` for the
-    actual address.  The caller owns shutdown: ``server.shutdown()``
-    then ``server.client.close()``.
+    actual address.  The caller owns shutdown: ``server.shutdown()``,
+    ``server.server_close()``, then ``server.client.close()``.
     """
     if client is None:
         client = ServeClient(**engine_kwargs).start()
     return ServeHTTPServer((host, port), client, verbose=verbose)
 
 
-def _flag_value(args: list[str], flag: str, what: str) -> str | None:
-    """Pop ``flag VALUE`` from ``args``; SystemExit when VALUE is missing."""
-    if flag not in args:
-        return None
-    idx = args.index(flag)
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as ``SystemExit(message)``: the message
+    names the flag and the failure, and the exit status is 1."""
+
+    def error(self, message: str) -> None:  # type: ignore[override]
+        raise SystemExit(f"{self.prog}: error: {message}")
+
+
+def serve_parser(
+    prog: str,
+    description: str,
+    *,
+    port: int,
+    snapshot_interval: float,
+) -> argparse.ArgumentParser:
+    """The options every serve process shares: single-process
+    ``repro-serve``, the ``--cluster`` front end, and a shard worker.
+    Each caller adds its own options to the returned parser."""
+    parser = _ArgumentParser(
+        prog=prog, description=description, allow_abbrev=False,
+    )
+    add = parser.add_argument
+    add("--host", default="127.0.0.1",
+        help="bind address (default %(default)s)")
+    add("--port", type=int, default=port,
+        help="bind port; 0 picks one (default %(default)s)")
+    add("--handler-concurrency", type=int, default=4, metavar="N",
+        help="concurrent handler evaluations (default %(default)s)")
+    add("--queue-size", type=int, default=128, metavar="N",
+        help="admission-queue bound (default %(default)s)")
+    add("--cache-size", type=int, default=256, metavar="N",
+        help="result-cache entries (default %(default)s)")
+    add("--timeout", type=float, default=30.0, metavar="SECONDS",
+        help="per-query deadline (default %(default)g)")
+    add("--scenario", action="append", default=[], metavar="FILE",
+        help="register a named what-if overlay (repeatable)")
+    add("--fault-plan", metavar="FILE",
+        help="inject a chaos experiment (JSON FaultPlan)")
+    add("--snapshot-interval", type=float, default=snapshot_interval,
+        metavar="SECONDS",
+        help="also flush the cache snapshot periodically "
+             "(0 disables; default %(default)g)")
+    add("--verify-sample-rate", type=float, default=0.125, metavar="R",
+        help="fraction of cache hits whose sealed digest is re-verified "
+             "before serving (default %(default)g; 1 = every hit)")
+    add("--scrub-interval", type=float, default=0.0, metavar="SECONDS",
+        help="background cache-scrubber pass interval; corrupt entries "
+             "are quarantined and recomputed (0 disables; "
+             "default %(default)g)")
+    add("--drain-timeout", type=float, default=10.0, metavar="SECONDS",
+        help="in-flight grace on SIGTERM/SIGINT (default %(default)g)")
+    add("--verbose", action="store_true",
+        help="log every request (a cluster forwards its workers' logs, "
+             "prefixed by shard)")
+    return parser
+
+
+def parse_serve_args(
+    parser: argparse.ArgumentParser, argv: list[str] | None
+) -> argparse.Namespace | None:
+    """Parse ``argv`` (default ``sys.argv[1:]``); ``None`` when
+    ``--help`` already printed its answer."""
     try:
-        value = args[idx + 1]
-    except IndexError:
-        raise SystemExit(f"{flag} requires {what}")
-    del args[idx : idx + 2]
-    return value
+        return parser.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 0:
+            return None
+        raise
 
 
-def _int_flag(args: list[str], flag: str, default: int) -> int:
-    raw = _flag_value(args, flag, "an integer argument")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"{flag} expects an integer, got {raw!r}")
-
-
-def _float_flag(args: list[str], flag: str, default: float) -> float:
-    raw = _flag_value(args, flag, "a number of seconds")
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise SystemExit(f"{flag} expects a number, got {raw!r}")
-
-
-def parse_handler_concurrency(args: list[str], default: int = 4) -> int:
-    """Pop ``--handler-concurrency N`` (or its deprecated ``--workers``
-    alias, with a warning) from ``args``."""
-    concurrency = _int_flag(args, "--handler-concurrency", default)
-    if "--workers" in args:
-        legacy = _int_flag(args, "--workers", default)
-        print(
-            "warning: --workers is deprecated (it now means in-process "
-            "handler concurrency, not cluster size); use "
-            "--handler-concurrency N — or --cluster N for a sharded "
-            "worker pool",
-            file=sys.stderr,
-            flush=True,
-        )
-        concurrency = legacy
-    return concurrency
+def engine_options(args: argparse.Namespace) -> dict[str, Any]:
+    """The parsed options that configure a process's engine."""
+    return {
+        "workers": args.handler_concurrency,
+        "max_queue": args.queue_size,
+        "cache_size": args.cache_size,
+        "default_timeout_s": args.timeout,
+        "fault_plan": load_fault_plan_arg(args.fault_plan),
+        "verify_sample_rate": args.verify_sample_rate,
+        "scrub_interval_s": args.scrub_interval,
+    }
 
 
 def load_fault_plan_arg(path: str | None):
@@ -507,14 +450,11 @@ def run_serve_loop(
     the cache snapshot every ``snapshot_interval`` seconds so a
     SIGKILL'd worker still reboots warm from its last flush, and on the
     first signal run the drain sequence: refuse new work, wait for
-    in-flight queries and their HTTP handler threads, flush the final
+    in-flight queries and the responses carrying them, flush the final
     snapshot, exit cleanly.
     """
     shutdown_requested = shutdown_on_signal("draining", drain_timeout)
-    serve_thread = threading.Thread(
-        target=server.serve_forever, name=f"{name}-http", daemon=True
-    )
-    serve_thread.start()
+    server.start()
     print(banner or f"{name} listening on {server.url}", flush=True)
 
     if snapshot_file is not None and snapshot_interval > 0:
@@ -538,9 +478,9 @@ def run_serve_loop(
     await_shutdown(shutdown_requested)
 
     # The drain sequence: refuse new work first, then wait for what is
-    # already running — engine in-flight queries AND the HTTP handler
-    # threads carrying their responses (daemon threads; nobody else
-    # waits for them) — then flush the cache and exit cleanly.
+    # already running — engine in-flight queries AND the HTTP requests
+    # whose responses are still being written — then flush the cache
+    # and exit cleanly.
     t0 = time.monotonic()
     server.begin_drain()
     engine_idle = server.client.drain(drain_timeout)
@@ -569,12 +509,34 @@ def run_serve_loop(
                 f"({flushed} entries)",
                 flush=True,
             )
+    time.sleep(LATE_ARRIVAL_GRACE_S)
     server.shutdown()
-    serve_thread.join()
     server.server_close()
     server.client.close()
     print(f"{name} exited cleanly", flush=True)
     return 0
+
+
+def single_process_parser() -> argparse.ArgumentParser:
+    """The shared serve options plus ``--cache-snapshot`` and
+    ``--version``."""
+    parser = serve_parser(
+        "repro-serve",
+        "Serve what-if queries over HTTP from one process; with "
+        "--cluster N, from N consistent-hash routed worker processes "
+        "instead (see repro-serve --cluster 2 --help).",
+        port=8077,
+        snapshot_interval=0.0,
+    )
+    parser.add_argument(
+        "--cache-snapshot", metavar="FILE",
+        help="warm the cache from FILE at startup (damaged entries "
+             "quarantined, the rest restored) and flush it back on "
+             "graceful shutdown",
+    )
+    parser.add_argument("--version", action="store_true",
+                        help="print the package version and exit")
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -591,102 +553,37 @@ def main(argv: list[str] | None = None) -> int:
     the drain is ignored — the drain deadline bounds shutdown either
     way.
     """
-    args = list(sys.argv[1:] if argv is None else argv)
-    if "--cluster" in args:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if any(a == "--cluster" or a.startswith("--cluster=") for a in argv):
         from repro.cluster.cli import main as cluster_main
 
-        return cluster_main(args)
-    if args and args[0] in ("-h", "--help"):
-        print("usage: repro-serve [--host HOST] [--port PORT] [options]")
-        print("options:")
-        print("  --host HOST        bind address (default 127.0.0.1)")
-        print("  --port PORT        bind port; 0 picks one (default 8077)")
-        print("  --cluster N        serve through N sharded worker processes")
-        print("                     (consistent-hash routed; see below)")
-        print("  --handler-concurrency N  concurrent handler evaluations "
-              "(default 4)")
-        print("  --workers N        deprecated alias of --handler-concurrency")
-        print("  --queue-size N     admission-queue bound (default 128)")
-        print("  --cache-size N     result-cache entries (default 256)")
-        print("  --scenario FILE    register a named what-if overlay (repeatable)")
-        print("  --fault-plan FILE  inject a chaos experiment (JSON FaultPlan)")
-        print("  --timeout SECONDS  per-query deadline (default 30)")
-        print("  --cache-snapshot FILE  warm the cache from FILE at startup "
-              "(damaged entries quarantined, the rest restored) and flush "
-              "it back on graceful shutdown")
-        print("  --verify-sample-rate R  fraction of cache hits whose sealed "
-              "digest is re-verified before serving (default 0.125; 1 = "
-              "every hit)")
-        print("  --scrub-interval SECONDS  background cache-scrubber pass "
-              "interval; corrupt entries are quarantined and recomputed "
-              "(0 disables; default 0)")
-        print("  --snapshot-interval SECONDS  also flush the cache snapshot "
-              "periodically (0 disables; default 0)")
-        print("  --drain-timeout SECONDS  in-flight grace on SIGTERM/SIGINT "
-              "(default 10)")
-        print("  --verbose          log every request")
-        print("  --version          print the package version and exit")
-        print("cluster mode accepts the same options plus --snapshot-dir, "
-              "--spill, and --ring-seed; see repro-serve --cluster 2 --help")
+        return cluster_main(argv)
+    args = parse_serve_args(single_process_parser(), argv)
+    if args is None:
         return 0
-    if "--version" in args:
+    if args.version:
         from repro import package_version
 
         print(f"repro-serve {package_version()}")
         return 0
-    host = _flag_value(args, "--host", "a bind address") or "127.0.0.1"
-    port = _int_flag(args, "--port", 8077)
-    handler_concurrency = parse_handler_concurrency(args)
-    queue_size = _int_flag(args, "--queue-size", 128)
-    cache_size = _int_flag(args, "--cache-size", 256)
-    scenario_files = []
-    while True:
-        raw = _flag_value(args, "--scenario", "a JSON file argument")
-        if raw is None:
-            break
-        scenario_files.append(raw)
-    fault_plan_file = _flag_value(args, "--fault-plan", "a JSON file argument")
-    timeout = _float_flag(args, "--timeout", 30.0)
-    snapshot_file = _flag_value(
-        args, "--cache-snapshot", "a snapshot file argument"
-    )
-    snapshot_interval = _float_flag(args, "--snapshot-interval", 0.0)
-    verify_sample_rate = _float_flag(args, "--verify-sample-rate", 0.125)
-    scrub_interval = _float_flag(args, "--scrub-interval", 0.0)
-    drain_timeout = _float_flag(args, "--drain-timeout", 10.0)
-    verbose = "--verbose" in args
-    if verbose:
-        args.remove("--verbose")
-    if args:
-        raise SystemExit(f"unknown argument {args[0]!r}; see repro-serve --help")
-    fault_plan = load_fault_plan_arg(fault_plan_file)
-
-    server = make_server(
-        host,
-        port,
-        verbose=verbose,
-        workers=handler_concurrency,
-        max_queue=queue_size,
-        cache_size=cache_size,
-        default_timeout_s=timeout,
-        fault_plan=fault_plan,
-        verify_sample_rate=verify_sample_rate,
-        scrub_interval_s=scrub_interval,
-    )
+    options = engine_options(args)
+    server = make_server(args.host, args.port, verbose=args.verbose,
+                         **options)
+    fault_plan = options["fault_plan"]
     if fault_plan is not None:
         print(
             f"fault plan {fault_plan.label()!r} armed "
             f"({fault_plan.fingerprint[:12]}, {len(fault_plan.rules)} rule(s))",
             flush=True,
         )
-    register_scenario_files(server, scenario_files)
-    if snapshot_file is not None:
-        restore_snapshot(server, snapshot_file)
+    register_scenario_files(server, args.scenario)
+    if args.cache_snapshot is not None:
+        restore_snapshot(server, args.cache_snapshot)
     return run_serve_loop(
         server,
-        snapshot_file=snapshot_file,
-        drain_timeout=drain_timeout,
-        snapshot_interval=snapshot_interval,
+        snapshot_file=args.cache_snapshot,
+        drain_timeout=args.drain_timeout,
+        snapshot_interval=args.snapshot_interval,
     )
 
 

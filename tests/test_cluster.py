@@ -218,29 +218,33 @@ class TestTextMetrics:
             assert 'shard="3"' in line, line
 
 
-# -- flag rename: --workers -> --handler-concurrency -------------------------
+# -- --handler-concurrency on the shared serve parser -----------------------
+
+
+def _serve_parsers():
+    from repro.cluster.cli import cluster_parser
+    from repro.cluster.worker import worker_parser
+    from repro.serve.http import single_process_parser
+
+    return {
+        "single": (single_process_parser(), []),
+        "cluster": (cluster_parser(), ["--cluster", "2"]),
+        "worker": (worker_parser(), ["--shard-id", "0"]),
+    }
 
 
 class TestHandlerConcurrencyFlag:
     def test_new_flag_parses(self):
-        from repro.serve.http import parse_handler_concurrency
-
-        args = ["--handler-concurrency", "9", "--port", "0"]
-        assert parse_handler_concurrency(args) == 9
-        assert args == ["--port", "0"]  # consumed
-
-    def test_deprecated_alias_warns_and_wins(self, capsys):
-        from repro.serve.http import parse_handler_concurrency
-
-        args = ["--workers", "7"]
-        assert parse_handler_concurrency(args) == 7
-        assert args == []
-        assert "deprecated" in capsys.readouterr().err
+        for role, (parser, base) in _serve_parsers().items():
+            args = parser.parse_args(
+                base + ["--handler-concurrency", "9", "--port", "0"]
+            )
+            assert args.handler_concurrency == 9, role
+            assert args.port == 0, role
 
     def test_default(self):
-        from repro.serve.http import parse_handler_concurrency
-
-        assert parse_handler_concurrency([]) == 4
+        for role, (parser, base) in _serve_parsers().items():
+            assert parser.parse_args(base).handler_concurrency == 4, role
 
 
 # -- retry-after surfacing ---------------------------------------------------

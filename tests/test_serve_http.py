@@ -221,17 +221,17 @@ class TestServeCli:
         )
 
     def test_unknown_flag_rejected(self):
-        with pytest.raises(SystemExit, match="unknown argument"):
+        with pytest.raises(SystemExit, match="unrecognized arguments: --frobnicate"):
             main(["--frobnicate"])
 
     def test_bad_port_rejected(self):
-        with pytest.raises(SystemExit, match="--port expects an integer"):
+        with pytest.raises(SystemExit, match="--port: invalid int value"):
             main(["--port", "eighty"])
 
     def test_missing_flag_value_rejected(self):
-        with pytest.raises(SystemExit, match="--host requires"):
+        with pytest.raises(SystemExit, match="--host: expected one argument"):
             main(["--host"])
 
     def test_bad_timeout_rejected(self):
-        with pytest.raises(SystemExit, match="--timeout expects a number"):
+        with pytest.raises(SystemExit, match="--timeout: invalid float value"):
             main(["--timeout", "soon"])

@@ -422,16 +422,6 @@ class TestHttpDeadlines:
         assert status == 504
         assert payload["code"] == "deadline_exhausted"
 
-    def test_deprecated_workers_alias_warns_and_is_honored(self, capsys):
-        # Satellite check rides here: both spellings of handler
-        # concurrency parse, the legacy one loudly.
-        from repro.serve.http import parse_handler_concurrency
-
-        args = ["--workers", "6", "--port", "0"]
-        assert parse_handler_concurrency(args) == 6
-        assert args == ["--port", "0"]
-        assert "deprecated" in capsys.readouterr().err
-
 
 # -- router: budget-aware spill ----------------------------------------------
 
